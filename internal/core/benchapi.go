@@ -54,6 +54,7 @@ func BenchSweeps(data *corpus.Dataset, cfg Config, warmup, sweeps int) (SweepBen
 	if err != nil {
 		return SweepBench{}, err
 	}
+	defer smp.close()
 	return benchSweeper(smp, data, cfg, warmup, sweeps)
 }
 
@@ -74,6 +75,7 @@ func BenchParallelSweeps(data *corpus.Dataset, cfg Config, warmup, sweeps int) (
 	if err != nil {
 		return SweepBench{}, gas.EngineStats{}, err
 	}
+	defer smp.close()
 	for i := 0; i < warmup; i++ {
 		if err := smp.sweep(); err != nil {
 			return SweepBench{}, gas.EngineStats{}, err

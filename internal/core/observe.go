@@ -14,6 +14,10 @@ type TrainObserver struct {
 	// SweepSeconds observes the wall-clock duration of each Gibbs sweep
 	// (sampling plus likelihood evaluation).
 	SweepSeconds *obs.Histogram
+	// SamplerBuild tracks how long the latest sampler construction took
+	// (initial build or stall rebuild; for the parallel sampler: graph
+	// layout, edge colouring and shard plan).
+	SamplerBuild *obs.Gauge
 	// Likelihood tracks the latest per-sweep log-likelihood.
 	Likelihood *obs.Gauge
 	// Sweep tracks the latest completed sweep index.
@@ -53,6 +57,8 @@ func NewTrainObserver(reg *obs.Registry) *TrainObserver {
 	return &TrainObserver{
 		SweepSeconds: reg.Histogram("cold_train_sweep_seconds",
 			"Wall-clock duration of one Gibbs sweep including likelihood evaluation.", sweepBuckets),
+		SamplerBuild: reg.Gauge("cold_train_sampler_build_seconds",
+			"Duration of the latest sampler construction (graph layout, colouring and shard plan when parallel)."),
 		Likelihood: reg.Gauge("cold_train_log_likelihood",
 			"Log-likelihood after the latest healthy sweep."),
 		Sweep: reg.Gauge("cold_train_sweep",
@@ -75,6 +81,14 @@ func NewTrainObserver(reg *obs.Registry) *TrainObserver {
 			"Duration of one checkpoint read, including frame validation.", nil),
 		Gas: gas.NewMetrics(reg),
 	}
+}
+
+// samplerBuilt records one sampler construction.
+func (o *TrainObserver) samplerBuilt(seconds float64) {
+	if o == nil {
+		return
+	}
+	o.SamplerBuild.Set(seconds)
 }
 
 // sweepDone records one healthy sweep.

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/cold-diffusion/cold/internal/corpus"
 	"github.com/cold-diffusion/cold/internal/gas"
@@ -512,15 +513,18 @@ func (p *coldProgram) Merge(ctxs []*coldCtx) { p.MergeBoundary(ctxs) }
 
 // coldEngine is the engine surface the parallel sampler needs: stepping
 // with contained panics, per-worker contexts, shard count for RNG
-// stream sizing, and scatter timing for the bench layer.
+// stream sizing, scatter timing for the bench layer, and releasing the
+// worker pool.
 type coldEngine interface {
 	Step() error
 	Ctxs() []*coldCtx
 	SetMetrics(*gas.Metrics)
 	SetStallPolicy(*gas.StallPolicy)
 	NumShards() int
+	Plan() gas.PlanInfo
 	Stats() gas.EngineStats
 	ResetStats()
+	Close()
 }
 
 // parallelSampler adapts the GAS sampler (cfg.Workers goroutine workers
@@ -543,25 +547,21 @@ func buildColdGraph(data *corpus.Dataset, cfg Config) *gas.Graph[coldVD, coldED]
 	for j := range order {
 		order[j] = int32(j)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := &data.Posts[order[a]], &data.Posts[order[b]]
-		if pa.User != pb.User {
-			return pa.User < pb.User
-		}
-		if pa.Time != pb.Time {
-			return pa.Time < pb.Time
-		}
-		return order[a] < order[b]
+	slices.SortFunc(order, func(a, b int32) int {
+		pa, pb := &data.Posts[a], &data.Posts[b]
+		return cmp.Or(cmp.Compare(pa.User, pb.User), cmp.Compare(pa.Time, pb.Time), cmp.Compare(a, b))
 	})
-	eid := int32(-1)
-	lastU, lastT := -1, -1
-	for _, j := range order {
-		post := &data.Posts[j]
-		if post.User != lastU || post.Time != lastT {
-			eid = g.AddEdge(int32(post.User), int32(data.U+post.Time), coldED{link: -1})
-			lastU, lastT = post.User, post.Time
+	// One (user, slice) edge per run of the sorted order; its posts are
+	// that run, so the edges share the order array instead of growing
+	// their own.
+	for lo := 0; lo < len(order); {
+		first := &data.Posts[order[lo]]
+		hi := lo + 1
+		for hi < len(order) && data.Posts[order[hi]].User == first.User && data.Posts[order[hi]].Time == first.Time {
+			hi++
 		}
-		g.Edges[eid].Data.posts = append(g.Edges[eid].Data.posts, j)
+		g.AddEdge(int32(first.User), int32(data.U+first.Time), coldED{link: -1, posts: order[lo:hi:hi]})
+		lo = hi
 	}
 	if cfg.UseLinks {
 		for l, e := range data.Links {
@@ -609,6 +609,7 @@ func newParallelSampler(data *corpus.Dataset, cfg Config, resume *Checkpoint, gm
 	p := &parallelSampler{prog: prog, engine: engine, r: r}
 	if resume != nil {
 		if err := p.restoreRNG(resume.RNG); err != nil {
+			engine.Close()
 			return nil, err
 		}
 	}
@@ -630,6 +631,8 @@ func (p *parallelSampler) sweep() (err error) {
 func (p *parallelSampler) logLikelihood() float64 { return p.prog.st.logLikelihood() }
 func (p *parallelSampler) estimate() *Model       { return p.prog.st.estimate() }
 func (p *parallelSampler) health() string         { return p.prog.st.negativeCounter() }
+func (p *parallelSampler) plan() gas.PlanInfo     { return p.engine.Plan() }
+func (p *parallelSampler) close()                 { p.engine.Close() }
 
 // engineStats exposes the engine's accumulated scatter timing (busy,
 // barrier, serial merge, per-batch critical path) for the bench layer.

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"github.com/cold-diffusion/cold/internal/gas"
 	"github.com/cold-diffusion/cold/internal/stats"
 	"github.com/cold-diffusion/cold/internal/synth"
 )
@@ -270,6 +272,64 @@ func TestChromaticTrainerWorks(t *testing.T) {
 	for c := range m.Theta {
 		if !stats.IsSimplex(m.Theta[c], 1e-9) {
 			t.Fatal("chromatic estimate not a distribution")
+		}
+	}
+}
+
+// referenceColorEdges is the map-and-rescan greedy the bitset colouring
+// replaced (the twin of the oracle in internal/gas's tests, written
+// against the graph's public surface): smallest colour free at both
+// endpoints, edges in id order.
+func referenceColorEdges(g *gas.Graph[coldVD, coldED]) [][]int32 {
+	edgeColor := make([]int, len(g.Edges))
+	for i := range edgeColor {
+		edgeColor[i] = -1
+	}
+	var classes [][]int32
+	for id := range g.Edges {
+		e := &g.Edges[id]
+		used := map[int]bool{}
+		for _, v := range []int32{e.Src, e.Dst} {
+			for _, nb := range g.Incident(v) {
+				if c := edgeColor[nb]; c >= 0 {
+					used[c] = true
+				}
+			}
+		}
+		color := 0
+		for used[color] {
+			color++
+		}
+		edgeColor[id] = color
+		if color == len(classes) {
+			classes = append(classes, nil)
+		}
+		classes[color] = append(classes[color], int32(id))
+	}
+	return classes
+}
+
+// TestColdGraphColouringMatchesReference pins the colour classes of the
+// Fig 4 layout — time-slice hubs, user–user link edges — to the
+// reference greedy, edge for edge: the classes fix the shard plan and
+// the per-shard RNG streams, so any drift would change the sampled
+// chain and orphan every parallel checkpoint.
+func TestColdGraphColouringMatchesReference(t *testing.T) {
+	data, _, err := synth.Generate(synth.Config{U: 120, C: 4, K: 5, T: 6, V: 80,
+		PostsPerUser: 9, WordsPerPost: 5, LinksPerUser: 5, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, links := range []bool{true, false} {
+		cfg := DefaultConfig(4, 5).withDefaults()
+		cfg.UseLinks = links
+		g := buildColdGraph(data, cfg)
+		got, want := gas.ColorEdges(g), referenceColorEdges(g)
+		if len(got) <= 64 {
+			t.Fatalf("links=%v: %d colours; want a hub past one bitset word", links, len(got))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("links=%v: colour classes differ from the reference greedy (%d vs %d classes)", links, len(got), len(want))
 		}
 	}
 }

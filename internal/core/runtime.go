@@ -175,6 +175,8 @@ type sweeper interface {
 	reseed(salt uint64)                     // perturb all streams after a rollback
 	assignments() (c, z, s, sp []int)       // live slices; caller must copy
 	setAssignments(c, z, s, sp []int) error // copy in and rebuild counters
+	plan() gas.PlanInfo                     // scatter schedule size; zero for the serial sampler
+	close()                                 // stop worker goroutines; no sweep may follow
 }
 
 func newSweeper(data *corpus.Dataset, cfg Config, resume *Checkpoint, gm *gas.Metrics, sp *gas.StallPolicy) (sweeper, error) {
@@ -197,9 +199,10 @@ func runTraining(ctx context.Context, data *corpus.Dataset, cfg Config, opts Run
 	stats := &TrainStats{}
 	var acc accumulator
 	sweep0 := 0
+	hash := datasetHash(data)
 	if resume != nil {
-		if resume.DataHash != datasetHash(data) {
-			return nil, nil, fmt.Errorf("core: checkpoint was taken against a different dataset (hash %#x, dataset %#x)", resume.DataHash, datasetHash(data))
+		if resume.DataHash != hash {
+			return nil, nil, fmt.Errorf("core: checkpoint was taken against a different dataset (hash %#x, dataset %#x)", resume.DataHash, hash)
 		}
 		acc.restore(resume.AccSum, resume.AccN)
 		stats.Likelihood = append([]float64(nil), resume.Likelihood...)
@@ -211,17 +214,37 @@ func runTraining(ctx context.Context, data *corpus.Dataset, cfg Config, opts Run
 			opts.Logger.Info("resumed from checkpoint", "sweep", resume.Sweep, "samples", resume.Samples)
 		}
 	}
-	smp, err := newSweeper(data, cfg, resume, opts.Observer.gasMetrics(), opts.stallPolicy())
+	// build constructs a sampler from scratch or from a snapshot and
+	// puts its construction on the clock: for the parallel sampler that
+	// is the Fig 4 graph, its colouring and the shard plan.
+	build := func(from *Checkpoint) (sweeper, error) {
+		buildStart := time.Now()
+		built, err := newSweeper(data, cfg, from, opts.Observer.gasMetrics(), opts.stallPolicy())
+		if err != nil {
+			return nil, err
+		}
+		secs := time.Since(buildStart).Seconds()
+		stats.BuildSeconds += secs
+		opts.Observer.samplerBuilt(secs)
+		if opts.Logger != nil {
+			plan := built.plan()
+			opts.Logger.Info("sampler built", "workers", cfg.Workers, "edges", plan.Edges, "colours", plan.Colors,
+				"batches", plan.Batches, "shards", plan.Shards, "seconds", secs)
+		}
+		return built, nil
+	}
+	smp, err := build(resume)
 	if err != nil {
 		return nil, nil, err
 	}
+	// smp is replaced after a stall, so close whichever sampler is live.
+	defer func() { smp.close() }()
 	if opts.CheckpointDir != "" {
 		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
 			return nil, nil, err
 		}
 	}
 
-	hash := datasetHash(data)
 	takeSnapshot := func(sweep int) *Checkpoint {
 		return snapshotCheckpoint(cfg, smp, &acc, stats, sweep, hash)
 	}
@@ -317,10 +340,13 @@ func runTraining(ctx context.Context, data *corpus.Dataset, cfg Config, opts Run
 			if rollbacks > opts.MaxRollbacks {
 				return nil, stats, fmt.Errorf("core: sweep %d stalled after %d recoveries (rebuilt at sweep %d): %w", it, opts.MaxRollbacks, lastGood.Sweep, sweepErr)
 			}
-			fresh, rerr := newSweeper(data, cfg, lastGood, opts.Observer.gasMetrics(), opts.stallPolicy())
+			fresh, rerr := build(lastGood)
 			if rerr != nil {
 				return nil, stats, fmt.Errorf("core: rebuilding sampler after stall: %w", rerr)
 			}
+			// Closing the poisoned sampler is safe: supervised phases
+			// never use its pool, so only idle pool workers are stopped.
+			smp.close()
 			smp = fresh
 			acc.restore(lastGood.AccSum, lastGood.AccN)
 			stats.Likelihood = append(stats.Likelihood[:0], lastGood.Likelihood...)
@@ -510,6 +536,8 @@ func (s *serialSampler) sweep() (err error) {
 func (s *serialSampler) logLikelihood() float64 { return s.st.logLikelihood() }
 func (s *serialSampler) estimate() *Model       { return s.st.estimate() }
 func (s *serialSampler) health() string         { return s.st.negativeCounter() }
+func (s *serialSampler) plan() gas.PlanInfo     { return gas.PlanInfo{} }
+func (s *serialSampler) close()                 {}
 
 func (s *serialSampler) rngStates() [][4]uint64 { return [][4]uint64{s.r.State()} }
 

@@ -16,6 +16,10 @@ type TrainStats struct {
 	Sweeps     int
 	Samples    int // thinned samples averaged into the final estimates
 	Elapsed    time.Duration
+	// BuildSeconds is the time spent constructing samplers — the initial
+	// one plus every rebuild after a stall. For the parallel sampler it
+	// covers the Fig 4 graph, its edge colouring and the shard plan.
+	BuildSeconds float64
 
 	Rollbacks          int      // divergence recoveries performed
 	Stalls             int      // supervisor-detected stalls recovered by sampler rebuild

@@ -2,6 +2,7 @@ package gas
 
 import (
 	"errors"
+	"math/bits"
 
 	"github.com/cold-diffusion/cold/internal/faultinject"
 )
@@ -24,7 +25,7 @@ type ChromaticEngine[VD, ED, Acc, Ctx any] struct {
 	sx       *shardExec[VD, ED, Ctx] // sharded scatter path (inert for per-edge programs)
 	m        *Metrics
 	sp       *StallPolicy
-	poisoned error // set after a stall; every later Step returns it
+	poisoned error // set after a stall or Close; every later Step returns it
 }
 
 // NewChromaticEngine colours the graph's edges greedily and returns the
@@ -42,7 +43,7 @@ func NewChromaticEngine[VD, ED, Acc, Ctx any](g *Graph[VD, ED], p Program[VD, ED
 	for w := 0; w < workers; w++ {
 		e.ctxs[w] = p.NewCtx(w)
 	}
-	e.colors = colorEdges(g)
+	e.colors = ColorEdges(g)
 	// Sharded programs scatter colour class by colour class; incremental
 	// boundary-merging programs additionally let adjacent classes
 	// coalesce into weight-bounded batches (they never touch shared
@@ -57,47 +58,96 @@ func NewChromaticEngine[VD, ED, Acc, Ctx any](g *Graph[VD, ED], p Program[VD, ED
 // streams, from it.
 func (e *ChromaticEngine[VD, ED, Acc, Ctx]) NumShards() int { return e.sx.numShards() }
 
+// Plan describes the scatter schedule built at construction.
+func (e *ChromaticEngine[VD, ED, Acc, Ctx]) Plan() PlanInfo {
+	return e.sx.planInfo(len(e.g.Edges), len(e.colors))
+}
+
+// Close stops the engine's scatter workers and returns once they have
+// exited; until then they pin the graph, the program and every worker
+// context. Step returns ErrClosed afterwards. Closing a poisoned engine
+// is safe — supervised phases never use the pool, so its workers are
+// idle — though the stalled goroutine itself stays abandoned.
+func (e *ChromaticEngine[VD, ED, Acc, Ctx]) Close() {
+	e.sx.close()
+	if e.poisoned == nil {
+		e.poisoned = ErrClosed
+	}
+}
+
 // Stats returns a copy of the accumulated sharded-scatter timing.
 func (e *ChromaticEngine[VD, ED, Acc, Ctx]) Stats() EngineStats { return e.sx.snapshot() }
 
 // ResetStats zeroes the accumulated timing.
 func (e *ChromaticEngine[VD, ED, Acc, Ctx]) ResetStats() { e.sx.reset() }
 
-// colorEdges assigns each edge the smallest colour not used by another
-// edge at either endpoint (greedy edge colouring; at most 2Δ−1 colours).
-func colorEdges[VD, ED any](g *Graph[VD, ED]) [][]int32 {
-	edgeColor := make([]int, len(g.Edges))
-	for i := range edgeColor {
-		edgeColor[i] = -1
-	}
-	var classes [][]int32
-	used := make(map[int]bool)
+// ColorEdges assigns each edge the smallest colour not used by another
+// edge at either endpoint, visiting edges in id order (greedy edge
+// colouring; at most 2Δ−1 colours), and returns the edge ids of every
+// colour class in ascending order. The classes fix the chromatic
+// scatter order — and through it the shard plan and every sharded
+// program's per-shard random streams — so the result is pinned to
+// exactly this greedy, edge for edge.
+//
+// Each vertex keeps the set of colours its edges hold as a bitset grown
+// on demand; an edge's colour is the first zero bit of used[src] |
+// used[dst]. That is O(E·Δ/64) word operations. Walking both endpoints'
+// incidence lists per edge instead would be Σ_v deg(v)² — quadratic on
+// the Fig 4 layout, whose time-slice vertices are hubs of degree ≈ E/T.
+func ColorEdges[VD, ED any](g *Graph[VD, ED]) [][]int32 {
+	used := make([][]uint64, len(g.Vertices))
+	edgeColor := make([]int32, len(g.Edges))
+	var classSize []int32
 	for id := range g.Edges {
 		e := &g.Edges[id]
-		for k := range used {
-			delete(used, k)
+		a, b := used[e.Src], used[e.Dst]
+		if len(a) < len(b) {
+			a, b = b, a
 		}
-		for _, nb := range g.incident[e.Src] {
-			if c := edgeColor[nb]; c >= 0 {
-				used[c] = true
+		// First zero bit of a|b; past the end of a every colour is free.
+		color := len(a) * 64
+		for w, word := range a {
+			if w < len(b) {
+				word |= b[w]
+			}
+			if word != ^uint64(0) {
+				color = w*64 + bits.TrailingZeros64(^word)
+				break
 			}
 		}
-		for _, nb := range g.incident[e.Dst] {
-			if c := edgeColor[nb]; c >= 0 {
-				used[c] = true
-			}
+		used[e.Src] = setBit(used[e.Src], color)
+		if e.Dst != e.Src {
+			used[e.Dst] = setBit(used[e.Dst], color)
 		}
-		color := 0
-		for used[color] {
-			color++
+		edgeColor[id] = int32(color)
+		if color == len(classSize) {
+			classSize = append(classSize, 0)
 		}
-		edgeColor[id] = color
-		for color >= len(classes) {
-			classes = append(classes, nil)
-		}
-		classes[color] = append(classes[color], int32(id))
+		classSize[color]++
+	}
+	// Count-then-fill: one backing array cut into the classes.
+	backing := make([]int32, len(g.Edges))
+	classes := make([][]int32, len(classSize))
+	lo := 0
+	for c, n := range classSize {
+		hi := lo + int(n)
+		classes[c] = backing[lo:lo:hi]
+		lo = hi
+	}
+	for id, c := range edgeColor {
+		classes[c] = append(classes[c], int32(id))
 	}
 	return classes
+}
+
+// setBit sets bit i of the bitset, growing it to reach the bit.
+func setBit(set []uint64, i int) []uint64 {
+	w := i / 64
+	for len(set) <= w {
+		set = append(set, 0)
+	}
+	set[w] |= 1 << (i % 64)
+	return set
 }
 
 // Colors returns the number of colour classes.

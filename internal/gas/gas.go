@@ -106,11 +106,32 @@ func (g *Graph[VD, ED]) AddEdge(src, dst int32, data ED) int32 {
 }
 
 // Finalize builds the incidence index. Call once after all AddEdge calls.
+// The index is one CSR array filled in two passes (count degrees, then
+// place edge ids), so construction is linear in the edge count however
+// skewed the degrees are.
 func (g *Graph[VD, ED]) Finalize() {
 	if g.finalized {
 		return
 	}
+	degree := make([]int32, len(g.Vertices))
+	total := 0
+	for id := range g.Edges {
+		e := &g.Edges[id]
+		degree[e.Src]++
+		total++
+		if e.Dst != e.Src {
+			degree[e.Dst]++
+			total++
+		}
+	}
+	backing := make([]int32, total)
 	g.incident = make([][]int32, len(g.Vertices))
+	lo := 0
+	for v, d := range degree {
+		hi := lo + int(d)
+		g.incident[v] = backing[lo:lo:hi]
+		lo = hi
+	}
 	for id := range g.Edges {
 		e := &g.Edges[id]
 		g.incident[e.Src] = append(g.incident[e.Src], int32(id))
@@ -195,6 +216,9 @@ func gatherApply[VD, ED, Acc, Ctx any](g *Graph[VD, ED], p Program[VD, ED, Acc, 
 	}
 }
 
+// ErrClosed is returned by Step on an engine that has been closed.
+var ErrClosed = errors.New("gas: engine closed")
+
 // Engine drives supersteps of a Program over a finalized Graph with a
 // fixed worker pool. Work is split into contiguous blocks per worker so
 // a given (graph, workers) pair is deterministic.
@@ -207,7 +231,7 @@ type Engine[VD, ED, Acc, Ctx any] struct {
 	sx       *shardExec[VD, ED, Ctx] // sharded scatter path (inert for per-edge programs)
 	m        *Metrics
 	sp       *StallPolicy
-	poisoned error // set after a stall; every later Step returns it
+	poisoned error // set after a stall or Close; every later Step returns it
 }
 
 // NewEngine creates an engine with the given worker count (minimum 1).
@@ -238,6 +262,21 @@ func NewEngine[VD, ED, Acc, Ctx any](g *Graph[VD, ED], p Program[VD, ED, Acc, Ct
 // scatters per edge). Sharded programs size per-shard state, e.g. RNG
 // streams, from it.
 func (e *Engine[VD, ED, Acc, Ctx]) NumShards() int { return e.sx.numShards() }
+
+// Plan describes the scatter schedule built at construction; the
+// synchronous engine's edges form one class.
+func (e *Engine[VD, ED, Acc, Ctx]) Plan() PlanInfo {
+	return e.sx.planInfo(len(e.g.Edges), 1)
+}
+
+// Close stops the engine's scatter workers and returns once they have
+// exited; see ChromaticEngine.Close.
+func (e *Engine[VD, ED, Acc, Ctx]) Close() {
+	e.sx.close()
+	if e.poisoned == nil {
+		e.poisoned = ErrClosed
+	}
+}
 
 // Stats returns a copy of the accumulated sharded-scatter timing.
 func (e *Engine[VD, ED, Acc, Ctx]) Stats() EngineStats { return e.sx.snapshot() }

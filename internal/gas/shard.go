@@ -241,7 +241,7 @@ func (s EngineStats) clone() EngineStats {
 }
 
 // scatterPool is a persistent worker pool executing shard batches. The
-// goroutines live for the engine's lifetime and receive work over
+// goroutines live until the engine is closed and receive work over
 // per-worker channels, so a steady-state scatter phase performs no
 // allocations — no per-phase goroutines, closures or slices. Shards are
 // claimed off a shared atomic cursor: the shard→worker mapping is
@@ -254,7 +254,8 @@ type scatterPool[VD, ED, Ctx any] struct {
 	workers int
 
 	tasks  []chan []shardSpan
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // one batch's workers
+	live   sync.WaitGroup // the pool goroutines themselves
 	cursor atomic.Int64
 
 	errs []error
@@ -280,21 +281,35 @@ func newScatterPool[VD, ED, Ctx any](g *Graph[VD, ED], prog ShardScatterer[VD, E
 		p.tasks = make([]chan []shardSpan, workers)
 		for w := range p.tasks {
 			p.tasks[w] = make(chan []shardSpan, 1)
-			go p.serve(w)
+			p.live.Add(1)
+			go p.serve(w, p.tasks[w])
 		}
 	}
 	return p
 }
 
-// serve is one pool goroutine's loop.
-func (p *scatterPool[VD, ED, Ctx]) serve(w int) {
-	for shards := range p.tasks[w] {
+// serve is one pool goroutine's loop; it ends when close closes the
+// worker's task channel.
+func (p *scatterPool[VD, ED, Ctx]) serve(w int, tasks <-chan []shardSpan) {
+	defer p.live.Done()
+	for shards := range tasks {
 		start := time.Now()
 		p.runWorker(w, shards)
 		p.done[w] = time.Now()
 		p.busy[w] = p.done[w].Sub(start)
 		p.wg.Done()
 	}
+}
+
+// close stops the pool goroutines and returns once they have exited,
+// releasing the graph, program and contexts they pin. It must not race
+// with runBatch; a second call is a no-op.
+func (p *scatterPool[VD, ED, Ctx]) close() {
+	for _, ch := range p.tasks {
+		close(ch)
+	}
+	p.tasks = nil
+	p.live.Wait()
 }
 
 // recoverWorker converts a worker panic into that worker's error slot.
@@ -398,6 +413,31 @@ func newShardExec[VD, ED, Ctx any](g *Graph[VD, ED], p any, ctxs []Ctx, workers 
 	x.stats.BatchBusy = make([]float64, len(x.plan.batches))
 	x.stats.BatchMaxShard = make([]float64, len(x.plan.batches))
 	return x
+}
+
+// PlanInfo sizes an engine's scatter schedule: what construction built
+// from the graph. Batches and Shards are 0 for programs that scatter
+// per edge.
+type PlanInfo struct {
+	Edges   int // edges in the graph
+	Colors  int // mutually independent edge classes the order is grouped into
+	Batches int // barrier-delimited scatter batches per superstep
+	Shards  int // weight-balanced shards across all batches
+}
+
+func (x *shardExec[VD, ED, Ctx]) planInfo(edges, colors int) PlanInfo {
+	info := PlanInfo{Edges: edges, Colors: colors}
+	if x.plan != nil {
+		info.Batches, info.Shards = len(x.plan.batches), x.plan.shards
+	}
+	return info
+}
+
+// close stops the scatter pool, if the program has one.
+func (x *shardExec[VD, ED, Ctx]) close() {
+	if x.pool != nil {
+		x.pool.close()
+	}
 }
 
 // numShards reports the plan's shard count (0 for non-sharded

@@ -1,8 +1,11 @@
 package gas
 
 import (
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // --- plan construction -------------------------------------------------
@@ -315,6 +318,44 @@ func TestShardWorkerPanicBecomesError(t *testing.T) {
 		err := eng.Step()
 		if err == nil || !strings.Contains(err.Error(), "shard 3 exploded") {
 			t.Fatalf("workers=%d: want panic error, got %v", workers, err)
+		}
+	}
+}
+
+// Close must take the pool's goroutines down, stay callable, and turn
+// later Steps into ErrClosed instead of a send on a closed channel.
+func TestEngineCloseStopsPool(t *testing.T) {
+	for _, chromatic := range []bool{false, true} {
+		before := runtime.NumGoroutine()
+		g := shardTestGraph()
+		p := &shardProg{shardOf: make([]int64, len(g.Edges))}
+		var eng interface {
+			Step() error
+			Close()
+		}
+		if chromatic {
+			eng = NewChromaticEngine[shVD, shED, struct{}, *shCtx](g, p, 4)
+		} else {
+			eng = NewEngine[shVD, shED, struct{}, *shCtx](g, p, 4)
+		}
+		if err := eng.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if runtime.NumGoroutine() < before+4 {
+			t.Fatalf("chromatic=%v: no 4-worker pool to close", chromatic)
+		}
+		eng.Close()
+		eng.Close()
+		// Close waited for the workers to return; the runtime may take a
+		// moment longer to stop counting them.
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("chromatic=%v: %d goroutines before the engine, %d after Close", chromatic, before, after)
+		}
+		if err := eng.Step(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("chromatic=%v: Step after Close returned %v, want ErrClosed", chromatic, err)
 		}
 	}
 }
