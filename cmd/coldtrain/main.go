@@ -172,7 +172,7 @@ func main() {
 	if *sweepTimeout > 0 {
 		// Global training watchdog: the GAS supervisor covers hung
 		// workers inside a parallel sweep, but a serial run (or a hang
-		// outside the engines) would still block forever. The heartbeat
+		// outside the GAS engine) would still block forever. The heartbeat
 		// beats once per completed sweep attempt; 4x the per-phase
 		// deadline comfortably covers one full sweep plus likelihood
 		// evaluation, so silence past the budget means the run is wedged

@@ -110,41 +110,17 @@ func Train(ctx context.Context, data *Dataset, cfg Config, options ...TrainOptio
 	return m, err
 }
 
-// TrainWithStats fits COLD and returns the convergence/timing trace.
-//
-// Deprecated: use Train with WithStats.
-func TrainWithStats(data *Dataset, cfg Config) (*Model, *TrainStats, error) {
-	return core.TrainWithStats(data, cfg)
-}
-
 // RunOptions configures the resilient training runtime: periodic
 // checkpointing to disk and divergence-recovery policy. The zero value
 // trains without checkpoints.
 type RunOptions = core.RunOptions
 
-// Checkpoint is the on-disk training snapshot written by TrainRun;
-// LoadCheckpoint inspects one without resuming.
+// Checkpoint is the on-disk training snapshot written by a run with
+// WithCheckpoints; LoadCheckpoint inspects one without resuming.
 type Checkpoint = core.Checkpoint
 
-// TrainContext fits COLD with cancellation.
-//
-// Deprecated: Train now takes a context directly.
-func TrainContext(ctx context.Context, data *Dataset, cfg Config) (*Model, error) {
-	return core.TrainContext(ctx, data, cfg)
-}
-
-// TrainRun is the positional full-control entry point: context
-// cancellation, periodic checkpoints, and automatic rollback on
-// numerical divergence.
-//
-// Deprecated: use Train with WithRunOptions (or WithCheckpoints and
-// WithStats for the common cases).
-func TrainRun(ctx context.Context, data *Dataset, cfg Config, opts RunOptions) (*Model, *TrainStats, error) {
-	return core.TrainRun(ctx, data, cfg, opts)
-}
-
 // ResumeTraining continues a run from a checkpoint file written by
-// TrainRun. Resuming against the same dataset reproduces the
+// Train. Resuming against the same dataset reproduces the
 // uninterrupted run bit for bit.
 func ResumeTraining(ctx context.Context, path string, data *Dataset, opts RunOptions) (*Model, *TrainStats, error) {
 	return core.ResumeTraining(ctx, path, data, opts)

@@ -1,6 +1,7 @@
 package cold_test
 
 import (
+	"context"
 	"testing"
 
 	cold "github.com/cold-diffusion/cold"
@@ -21,8 +22,8 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 
 	mcfg := cold.DefaultConfig(3, 4)
 	mcfg.Iterations, mcfg.BurnIn, mcfg.Seed = 15, 8, 7
-	//lint:ignore SA1019 the deprecated wrapper must keep working
-	model, stats, err := cold.TrainWithStats(data, mcfg)
+	var stats cold.TrainStats
+	model, err := cold.Train(context.Background(), data, mcfg, cold.WithStats(&stats))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,17 +16,18 @@ import (
 // a user–time edge holding the posts that user published in that slice,
 // and user–user edges carrying the link community indicators.
 //
-// Unlike the first cut of this file, the program is *incremental* in
-// the GraphLab sense: it owns one full serial `state` (the same counter
-// matrices and derived float caches the serial sampler uses) as the
-// shared snapshot, and workers buffer their count adjustments in sparse
-// per-worker deltas that merge back into that state at batch
-// boundaries — O(entries touched), never O(C·K + K·V). There is no
-// gather/apply phase and no per-sweep counter rebuild: between merges
-// the state is read-only, and each merge refreshes exactly the derived
-// cache entries whose counters moved.
+// The program is *incremental* in the GraphLab sense: it owns one full
+// serial `state` (the same counter matrices and derived float caches
+// the serial sampler uses) as the shared snapshot, and workers buffer
+// their count adjustments in sparse per-worker deltas that merge back
+// into that state at batch boundaries — O(entries touched), never
+// O(C·K + K·V). Alg 2's gather/apply (rebuilding each user's n_i^(c)
+// from its edges) is realised by that merge: nIC lives in the state and
+// moves with the deltas, so there is no per-sweep counter rebuild.
+// Between merges the state is read-only, and each merge refreshes
+// exactly the derived cache entries whose counters moved.
 //
-// Determinism does not depend on the worker count. The engines cut the
+// Determinism does not depend on the worker count. The engine cuts the
 // scatter order into token-mass-balanced shards as a function of the
 // graph alone, and every shard carries its own RNG stream seeded from
 // (cfg.Seed, shard id). Whichever worker executes a shard draws the
@@ -35,12 +36,6 @@ import (
 // sampled chain — and the final model, bit for bit — is identical for
 // workers ∈ {1, 2, 4, 8, ...}. The 1-worker execution of this schedule
 // doubles as the canonical "serial" reference in the determinism tests.
-
-type coldVD struct{}
-
-// coldAcc is the (unused) gather accumulator: the program is
-// incremental, so the engines never run gather/apply.
-type coldAcc = struct{}
 
 type coldED struct {
 	link  int32   // link index, or -1 for a user–time edge
@@ -92,11 +87,6 @@ type coldProgram struct {
 	shardRNG []*rng.RNG
 }
 
-// Incremental declares that the program maintains all vertex-adjacent
-// state itself (nIC lives in st and is updated at merge boundaries), so
-// the engines skip gather/apply entirely.
-func (p *coldProgram) Incremental() bool { return true }
-
 func (p *coldProgram) NewCtx(worker int) *coldCtx {
 	cfg, data := p.cfg, p.data
 	return &coldCtx{
@@ -114,25 +104,11 @@ func (p *coldProgram) NewCtx(worker int) *coldCtx {
 	}
 }
 
-// Gather, Sum and Apply are never called: the program is incremental,
-// so the engines skip the gather/apply phase.
-func (p *coldProgram) Gather(*gas.Graph[coldVD, coldED], int32, *gas.Edge[coldED]) coldAcc {
-	return coldAcc{}
-}
-func (p *coldProgram) Sum(a, _ coldAcc) coldAcc                               { return a }
-func (p *coldProgram) Apply(*gas.Graph[coldVD, coldED], int32, coldAcc, bool) {}
-
-// Scatter is unreachable: the engines always drive ScatterShard for
-// programs implementing gas.ShardScatterer.
-func (p *coldProgram) Scatter(*gas.Graph[coldVD, coldED], int32, *gas.Edge[coldED], *coldCtx) {
-	panic("core: coldProgram.Scatter called; engines must use ScatterShard")
-}
-
 // EdgeWeight estimates one edge's scatter cost for token-mass shard
 // balancing: each post pays an Eq. (1) pass over C communities plus an
 // Eq. (3) pass dominated by ~K multiplies per token; a link pays two
 // O(C) endpoint passes.
-func (p *coldProgram) EdgeWeight(g *gas.Graph[coldVD, coldED], eid int32, e *gas.Edge[coldED]) int64 {
+func (p *coldProgram) EdgeWeight(g *gas.Graph[coldED], eid int32, e *gas.Edge[coldED]) int64 {
 	if e.Data.link >= 0 {
 		return int64(2 * p.cfg.C)
 	}
@@ -146,7 +122,7 @@ func (p *coldProgram) EdgeWeight(g *gas.Graph[coldVD, coldED], eid int32, e *gas
 // ScatterShard resamples every assignment carried by the shard's edges
 // (lines 19–26 of Alg 2) using the shard's own RNG stream. beat is
 // ticked once per edge for the stall supervisor.
-func (p *coldProgram) ScatterShard(g *gas.Graph[coldVD, coldED], shard int, edges []int32, ctx *coldCtx, beat *gas.Beat) {
+func (p *coldProgram) ScatterShard(g *gas.Graph[coldED], shard int, edges []int32, ctx *coldCtx, beat *gas.Beat) {
 	r := p.shardRNG[shard]
 	for _, eid := range edges {
 		if !beat.Next() {
@@ -392,15 +368,14 @@ func (p *coldProgram) scatterLink(e *gas.Edge[coldED], ctx *coldCtx, r *rng.RNG)
 	}
 }
 
-// MergeBoundary folds every worker's buffered deltas into the shared
-// state — O(total entries touched) — and refreshes exactly the derived
-// cache entries whose underlying counters moved, so the caches stay
+// Merge folds every worker's buffered deltas into the shared state —
+// O(total entries touched) — and refreshes exactly the derived cache
+// entries whose underlying counters moved, so the caches stay
 // bit-identical to a from-scratch rebuild without ever paying for one.
-// The ChromaticEngine calls it at every batch boundary (later batches
-// then sample against fresh counters); Merge at superstep end folds the
-// final batch. Worker order is fixed (ctxs index order) but immaterial:
-// the deltas are integer additions, which commute.
-func (p *coldProgram) MergeBoundary(ctxs []*coldCtx) {
+// The engine calls it at every batch boundary, so later batches sample
+// against fresh counters. Worker order is fixed (ctxs index order) but
+// immaterial: the deltas are integer additions, which commute.
+func (p *coldProgram) Merge(ctxs []*coldCtx) {
 	st := p.st
 	d := st.dv
 	C, K, T, V := p.cfg.C, p.cfg.K, p.data.T, p.data.V
@@ -507,31 +482,11 @@ func (p *coldProgram) MergeBoundary(ctxs []*coldCtx) {
 	}
 }
 
-// Merge folds any deltas still buffered after the last batch. With
-// boundary merging it is O(workers) — everything was already folded.
-func (p *coldProgram) Merge(ctxs []*coldCtx) { p.MergeBoundary(ctxs) }
-
-// coldEngine is the engine surface the parallel sampler needs: stepping
-// with contained panics, per-worker contexts, shard count for RNG
-// stream sizing, scatter timing for the bench layer, and releasing the
-// worker pool.
-type coldEngine interface {
-	Step() error
-	Ctxs() []*coldCtx
-	SetMetrics(*gas.Metrics)
-	SetStallPolicy(*gas.StallPolicy)
-	NumShards() int
-	Plan() gas.PlanInfo
-	Stats() gas.EngineStats
-	ResetStats()
-	Close()
-}
-
 // parallelSampler adapts the GAS sampler (cfg.Workers goroutine workers
 // standing in for GraphLab nodes) to the runtime's sweeper interface.
 type parallelSampler struct {
 	prog   *coldProgram
-	engine coldEngine
+	engine *gas.Engine[coldED, *coldCtx]
 	r      *rng.RNG // main stream; only consumed during initialisation
 }
 
@@ -541,8 +496,8 @@ type parallelSampler struct {
 // user's nIC row stays hot inside one worker, followed by the link
 // edges in dataset order. The order — and therefore the shard plan and
 // the sampled chain — is a pure function of the dataset.
-func buildColdGraph(data *corpus.Dataset, cfg Config) *gas.Graph[coldVD, coldED] {
-	g := gas.NewGraph[coldVD, coldED](make([]coldVD, data.U+data.T))
+func buildColdGraph(data *corpus.Dataset, cfg Config) *gas.Graph[coldED] {
+	g := gas.NewGraph[coldED](data.U + data.T)
 	order := make([]int32, len(data.Posts))
 	for j := range order {
 		order[j] = int32(j)
@@ -568,7 +523,6 @@ func buildColdGraph(data *corpus.Dataset, cfg Config) *gas.Graph[coldVD, coldED]
 			g.AddEdge(int32(e.From), int32(e.To), coldED{link: int32(l)})
 		}
 	}
-	g.Finalize()
 	return g
 }
 
@@ -589,23 +543,13 @@ func newParallelSampler(data *corpus.Dataset, cfg Config, resume *Checkpoint, gm
 	st.ensureDerived()
 	prog := &coldProgram{cfg: cfg, data: data, st: st}
 
-	g := buildColdGraph(data, cfg)
-	var engine coldEngine
-	if cfg.Chromatic {
-		engine = gas.NewChromaticEngine[coldVD, coldED, coldAcc, *coldCtx](g, prog, cfg.Workers)
-	} else {
-		engine = gas.NewEngine[coldVD, coldED, coldAcc, *coldCtx](g, prog, cfg.Workers)
-	}
+	engine := gas.NewEngine(buildColdGraph(data, cfg), prog, cfg.Workers)
 	prog.shardRNG = make([]*rng.RNG, engine.NumShards())
 	for i := range prog.shardRNG {
 		prog.shardRNG[i] = rng.New(cfg.Seed + 0x9e3779b9*uint64(i+1))
 	}
-	if gm != nil {
-		engine.SetMetrics(gm)
-	}
-	if sp != nil {
-		engine.SetStallPolicy(sp)
-	}
+	engine.SetMetrics(gm)
+	engine.SetStallPolicy(sp)
 	p := &parallelSampler{prog: prog, engine: engine, r: r}
 	if resume != nil {
 		if err := p.restoreRNG(resume.RNG); err != nil {

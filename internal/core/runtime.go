@@ -43,9 +43,9 @@ type RunOptions struct {
 	// value disables the collapse check (NaN/Inf and negative-counter
 	// guards always stay on).
 	DivergenceDrop float64
-	// SweepTimeout, when > 0, bounds each parallel phase of a GAS
-	// superstep (gather+apply, one scatter pass): a phase that overruns
-	// is aborted by the stall supervisor and the sweep is retried from
+	// SweepTimeout, when > 0, bounds each scatter batch of a GAS
+	// superstep (a sweep runs a handful): a batch that overruns is
+	// aborted by the stall supervisor and the sweep is retried from
 	// the last in-memory snapshot with a freshly built sampler. Serial
 	// runs (Workers <= 1) are not covered — supervise them with the
 	// process-level watchdog (supervise.Run) via Heartbeat instead.

@@ -1,59 +1,57 @@
 package gas
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/cold-diffusion/cold/internal/rng"
 )
 
-// stochasticProgram mutates edge data with per-worker RNGs — the shape
-// of the COLD sampler — so this test pins down that the engine is
-// deterministic for a fixed worker count despite concurrency.
+// stochasticProgram mutates edge data with per-shard RNG streams — the
+// shape of the COLD sampler — so these tests pin down that the engine's
+// output is a function of (graph, seed) alone, however many workers
+// race over the shards.
 type stochasticProgram struct {
-	seed uint64
+	streams []*rng.RNG
 }
 
-type stochCtx struct {
-	r *rng.RNG
-}
+func (p *stochasticProgram) NewCtx(int) struct{} { return struct{}{} }
 
-func (p *stochasticProgram) NewCtx(worker int) *stochCtx {
-	return &stochCtx{r: rng.New(p.seed + uint64(worker)*7919)}
-}
+func (p *stochasticProgram) EdgeWeight(*Graph[uint64], int32, *Edge[uint64]) int64 { return 1 }
 
-func (p *stochasticProgram) Gather(g *Graph[int, uint64], v int32, e *Edge[uint64]) int {
-	return int(e.Data % 16)
-}
-
-func (p *stochasticProgram) Sum(a, b int) int { return a + b }
-
-func (p *stochasticProgram) Apply(g *Graph[int, uint64], v int32, acc int, has bool) {
-	if !has {
-		acc = 0
+func (p *stochasticProgram) ScatterShard(g *Graph[uint64], shard int, edges []int32, _ struct{}, beat *Beat) {
+	r := p.streams[shard]
+	for _, eid := range edges {
+		if !beat.Next() {
+			return
+		}
+		g.Edges[eid].Data ^= r.Uint64()
 	}
-	g.Vertices[v] = acc
 }
 
-func (p *stochasticProgram) Scatter(g *Graph[int, uint64], eid int32, e *Edge[uint64], ctx *stochCtx) {
-	e.Data = e.Data ^ ctx.r.Uint64()
-}
+func (p *stochasticProgram) Merge([]struct{}) {}
 
-func (p *stochasticProgram) Merge(ctxs []*stochCtx) {}
-
-func runStochastic(workers int, steps int) []uint64 {
+func runStochastic(t *testing.T, workers, steps int) []uint64 {
+	t.Helper()
 	r := rng.New(3)
-	n := 40
-	g := NewGraph[int, uint64](make([]int, n))
+	const n = 40
+	g := NewGraph[uint64](n)
 	for i := 0; i < 120; i++ {
 		a, b := int32(r.Intn(n)), int32(r.Intn(n))
 		if a != b {
 			g.AddEdge(a, b, r.Uint64())
 		}
 	}
-	g.Finalize()
-	e := NewEngine[int, uint64, int, *stochCtx](g, &stochasticProgram{seed: 5}, workers)
+	p := &stochasticProgram{}
+	e := NewEngine(g, p, workers)
+	defer e.Close()
+	for s := 0; s < e.NumShards(); s++ {
+		p.streams = append(p.streams, rng.New(5+uint64(s)*7919))
+	}
 	for i := 0; i < steps; i++ {
-		e.Step()
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out := make([]uint64, len(g.Edges))
 	for i := range g.Edges {
@@ -62,32 +60,18 @@ func runStochastic(workers int, steps int) []uint64 {
 	return out
 }
 
+// Identical runs agree, and so do runs at different worker counts: the
+// streams are keyed by shard, and the shard plan ignores the pool size.
 func TestEngineDeterministicForFixedWorkers(t *testing.T) {
+	ref := runStochastic(t, 1, 5)
 	for _, workers := range []int{1, 2, 4} {
-		a := runStochastic(workers, 5)
-		b := runStochastic(workers, 5)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("workers=%d: edge %d diverged between identical runs", workers, i)
-			}
+		a := runStochastic(t, workers, 5)
+		b := runStochastic(t, workers, 5)
+		if !slices.Equal(a, b) {
+			t.Fatalf("workers=%d: identical runs diverged", workers)
 		}
-	}
-}
-
-func TestEngineWorkerCountChangesStream(t *testing.T) {
-	// Different worker counts partition the RNG streams differently, so
-	// the (stochastic) results differ — documenting that determinism is
-	// per (graph, workers) pair, as with the COLD sampler.
-	a := runStochastic(1, 3)
-	b := runStochastic(4, 3)
-	same := true
-	for i := range a {
-		if a[i] != b[i] {
-			same = false
-			break
+		if !slices.Equal(a, ref) {
+			t.Fatalf("workers=%d: output differs from the 1-worker run", workers)
 		}
-	}
-	if same {
-		t.Fatal("different worker counts produced identical stochastic output")
 	}
 }

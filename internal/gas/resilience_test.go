@@ -3,50 +3,30 @@ package gas
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/cold-diffusion/cold/internal/faultinject"
 )
 
-// panicProgram is a degree-style program whose phases can be told to
-// panic, to verify that worker goroutine crashes surface as Step errors
-// instead of killing the process.
-type panicProgram struct {
-	degreeProgram
-	panicIn string // "gather", "apply", "scatter", "merge"
-}
-
-func (p *panicProgram) Gather(g *Graph[int, string], v int32, e *Edge[string]) int {
-	if p.panicIn == "gather" {
-		panic("gather boom")
+// panicIn makes a degreeProgram panic in the named phase ("scatter" or
+// "merge") until healed by clearing the hooks.
+func panicIn(p *degreeProgram, phase string) {
+	switch phase {
+	case "scatter":
+		p.onEdge = func(int32) { panic("scatter boom") }
+	case "merge":
+		p.onMerge = func() { panic("merge boom") }
 	}
-	return p.degreeProgram.Gather(g, v, e)
 }
 
-func (p *panicProgram) Apply(g *Graph[int, string], v int32, acc int, has bool) {
-	if p.panicIn == "apply" {
-		panic("apply boom")
-	}
-	p.degreeProgram.Apply(g, v, acc, has)
-}
-
-func (p *panicProgram) Scatter(g *Graph[int, string], eid int32, e *Edge[string], ctx *degCtx) {
-	if p.panicIn == "scatter" {
-		panic("scatter boom")
-	}
-	p.degreeProgram.Scatter(g, eid, e, ctx)
-}
-
-func (p *panicProgram) Merge(ctxs []*degCtx) {
-	if p.panicIn == "merge" {
-		panic("merge boom")
-	}
-	p.degreeProgram.Merge(ctxs)
-}
-
+// A panic in either phase — on the calling goroutine (1 worker, merge)
+// or inside a pool worker — surfaces as a Step error instead of killing
+// the process.
 func TestStepContainsPanics(t *testing.T) {
-	for _, phase := range []string{"gather", "apply", "scatter", "merge"} {
+	for _, phase := range []string{"scatter", "merge"} {
 		for _, workers := range []int{1, 4} {
-			p := &panicProgram{panicIn: phase}
+			p := newDegreeProgram()
+			panicIn(p, phase)
 			e := NewEngine(buildTestGraph(), p, workers)
 			err := e.Step()
 			if err == nil {
@@ -55,11 +35,7 @@ func TestStepContainsPanics(t *testing.T) {
 			if !strings.Contains(err.Error(), phase+" boom") {
 				t.Fatalf("%s/%d workers: error %q lost the panic message", phase, workers, err)
 			}
-
-			ce := NewChromaticEngine(buildTestGraph(), &panicProgram{panicIn: phase}, workers)
-			if err := ce.Step(); err == nil {
-				t.Fatalf("chromatic %s/%d workers: panic not converted to error", phase, workers)
-			}
+			e.Close()
 		}
 	}
 }
@@ -67,35 +43,42 @@ func TestStepContainsPanics(t *testing.T) {
 func TestStepHealthyAfterContainedPanic(t *testing.T) {
 	// A program that panics once, then behaves: the engine itself must
 	// stay usable for the caller's rollback-and-retry.
-	p := &panicProgram{panicIn: "scatter"}
-	g := buildTestGraph()
-	e := NewEngine(g, p, 2)
+	p := newDegreeProgram()
+	panicIn(p, "scatter")
+	e := NewEngine(buildTestGraph(), p, 2)
+	defer e.Close()
 	if err := e.Step(); err == nil {
 		t.Fatal("first step should fail")
 	}
-	p.panicIn = ""
+	p.onEdge = nil
 	if err := e.Step(); err != nil {
 		t.Fatalf("engine unusable after contained panic: %v", err)
 	}
-	if g.Vertices[0] != 3 { // degree of vertex 0 in buildTestGraph
-		t.Fatalf("degrees wrong after recovery: %v", g.Vertices)
-	}
+	requireDegrees(t, p, 1)
 }
 
+// The gas.scatter.worker fault point fires once per worker per batch on
+// both execution paths, and an injected crash is contained like any
+// other worker panic.
 func TestScatterWorkerFaultPoint(t *testing.T) {
-	defer faultinject.Reset()
-	faultinject.Set(faultinject.GasScatterWorker, func(args ...any) {
-		if args[0].(int) == 0 {
-			panic("injected worker crash")
+	for _, supervised := range []bool{false, true} {
+		faultinject.Set(faultinject.GasScatterWorker, func(args ...any) {
+			if args[0].(int) == 0 {
+				panic("injected worker crash")
+			}
+		})
+		e := NewEngine(buildTestGraph(), newDegreeProgram(), 2)
+		if supervised {
+			e.SetStallPolicy(&StallPolicy{Grace: 10 * time.Second})
 		}
-	})
-	e := NewEngine(buildTestGraph(), &degreeProgram{}, 2)
-	err := e.Step()
-	if err == nil || !strings.Contains(err.Error(), "injected worker crash") {
-		t.Fatalf("injected crash not reported: %v", err)
-	}
-	faultinject.Reset()
-	if err := e.Step(); err != nil {
-		t.Fatalf("engine unusable after injected crash: %v", err)
+		err := e.Step()
+		faultinject.Reset()
+		if err == nil || !strings.Contains(err.Error(), "injected worker crash") {
+			t.Fatalf("supervised=%v: injected crash not reported: %v", supervised, err)
+		}
+		if err := e.Step(); err != nil {
+			t.Fatalf("supervised=%v: engine unusable after injected crash: %v", supervised, err)
+		}
+		e.Close()
 	}
 }

@@ -24,7 +24,7 @@ func TestBuildShardPlanCoversEveryEdgeInOrder(t *testing.T) {
 	for i := range class {
 		class[i] = int32(i)
 	}
-	plan := buildShardPlan([][]int32{class}, planWeights(n), false)
+	plan := buildShardPlan([][]int32{class}, planWeights(n))
 
 	if len(plan.batches) != 1 {
 		t.Fatalf("one class should make one batch, got %d", len(plan.batches))
@@ -65,7 +65,7 @@ func TestBuildShardPlanBalancesWeight(t *testing.T) {
 			maxEdge = w
 		}
 	}
-	plan := buildShardPlan([][]int32{class}, weights, false)
+	plan := buildShardPlan([][]int32{class}, weights)
 
 	ns := len(plan.batches[0].shards)
 	if ns != shardsPerBatch {
@@ -100,13 +100,9 @@ func TestBuildShardPlanCoalescesClasses(t *testing.T) {
 		weights[i] = 1
 	}
 
-	loose := buildShardPlan(cls, weights, false)
-	if len(loose.batches) != classes {
-		t.Fatalf("uncoalesced plan has %d batches, want %d", len(loose.batches), classes)
-	}
-	tight := buildShardPlan(cls, weights, true)
-	if len(tight.batches) > maxScatterBatches+1 {
-		t.Fatalf("coalesced plan has %d batches, want <= %d", len(tight.batches), maxScatterBatches+1)
+	tight := buildShardPlan(cls, weights)
+	if len(tight.batches) < 2 || len(tight.batches) > maxScatterBatches+1 {
+		t.Fatalf("coalesced plan has %d batches, want 2..%d", len(tight.batches), maxScatterBatches+1)
 	}
 	// Coalescing must preserve the global edge order.
 	var flat []int32
@@ -127,8 +123,6 @@ func TestBuildShardPlanCoalescesClasses(t *testing.T) {
 
 // --- sharded engine execution ------------------------------------------
 
-type shVD struct{}
-
 type shED struct{ cost int64 }
 
 type shCtx struct{ scatters int }
@@ -142,20 +136,11 @@ type shardProg struct {
 }
 
 func (p *shardProg) NewCtx(int) *shCtx { return &shCtx{} }
-func (p *shardProg) Gather(*Graph[shVD, shED], int32, *Edge[shED]) struct{} {
-	return struct{}{}
-}
-func (p *shardProg) Sum(a, _ struct{}) struct{}                      { return a }
-func (p *shardProg) Apply(*Graph[shVD, shED], int32, struct{}, bool) {}
-func (p *shardProg) Scatter(*Graph[shVD, shED], int32, *Edge[shED], *shCtx) {
-	panic("per-edge Scatter must not run for a ShardScatterer")
-}
 func (p *shardProg) Merge([]*shCtx)    { p.merges++ }
-func (p *shardProg) Incremental() bool { return true }
-func (p *shardProg) EdgeWeight(g *Graph[shVD, shED], eid int32, e *Edge[shED]) int64 {
+func (p *shardProg) EdgeWeight(g *Graph[shED], eid int32, e *Edge[shED]) int64 {
 	return e.Data.cost
 }
-func (p *shardProg) ScatterShard(g *Graph[shVD, shED], shard int, edges []int32, ctx *shCtx, beat *Beat) {
+func (p *shardProg) ScatterShard(g *Graph[shED], shard int, edges []int32, ctx *shCtx, beat *Beat) {
 	for _, eid := range edges {
 		if !beat.Next() {
 			return
@@ -165,33 +150,21 @@ func (p *shardProg) ScatterShard(g *Graph[shVD, shED], shard int, edges []int32,
 	}
 }
 
-func shardTestGraph() *Graph[shVD, shED] {
+func shardTestGraph() *Graph[shED] {
 	const nv, ne = 60, 400
-	g := NewGraph[shVD, shED](make([]shVD, nv))
+	g := NewGraph[shED](nv)
 	for i := 0; i < ne; i++ {
 		g.AddEdge(int32(i%nv), int32((i*7+1)%nv), shED{cost: 1 + int64(i%13)})
 	}
-	g.Finalize()
 	return g
 }
 
-type shardEngine interface {
-	Step() error
-	NumShards() int
-	Stats() EngineStats
-	ResetStats()
-}
-
-func runShardProg(t *testing.T, workers int, chromatic bool) ([]int64, int, EngineStats) {
+func runShardProg(t *testing.T, workers int) ([]int64, int, EngineStats) {
 	t.Helper()
 	g := shardTestGraph()
 	p := &shardProg{shardOf: make([]int64, len(g.Edges))}
-	var eng shardEngine
-	if chromatic {
-		eng = NewChromaticEngine[shVD, shED, struct{}, *shCtx](g, p, workers)
-	} else {
-		eng = NewEngine[shVD, shED, struct{}, *shCtx](g, p, workers)
-	}
+	eng := NewEngine(g, p, workers)
+	defer eng.Close()
 	for i := 0; i < 2; i++ {
 		if err := eng.Step(); err != nil {
 			t.Fatal(err)
@@ -205,29 +178,25 @@ func runShardProg(t *testing.T, workers int, chromatic bool) ([]int64, int, Engi
 // which edge, and how many shards exist — is a function of the graph
 // alone, never of the worker count.
 func TestShardScheduleIndependentOfWorkers(t *testing.T) {
-	for _, chromatic := range []bool{false, true} {
-		ref, refShards, _ := runShardProg(t, 1, chromatic)
-		if refShards < 2 {
-			t.Fatalf("chromatic=%v: want a multi-shard plan, got %d", chromatic, refShards)
+	ref, refShards, _ := runShardProg(t, 1)
+	if refShards < 2 {
+		t.Fatalf("want a multi-shard plan, got %d", refShards)
+	}
+	for _, w := range []int{2, 4, 8} {
+		got, shards, _ := runShardProg(t, w)
+		if shards != refShards {
+			t.Fatalf("shard count changed with workers: %d at w=1, %d at w=%d", refShards, shards, w)
 		}
-		for _, w := range []int{2, 4, 8} {
-			got, shards, _ := runShardProg(t, w, chromatic)
-			if shards != refShards {
-				t.Fatalf("chromatic=%v: shard count changed with workers: %d at w=1, %d at w=%d",
-					chromatic, refShards, shards, w)
-			}
-			for eid := range ref {
-				if got[eid] != ref[eid] {
-					t.Fatalf("chromatic=%v: edge %d owned by shard %d at w=1 but %d at w=%d",
-						chromatic, eid, ref[eid], got[eid], w)
-				}
+		for eid := range ref {
+			if got[eid] != ref[eid] {
+				t.Fatalf("edge %d owned by shard %d at w=1 but %d at w=%d", eid, ref[eid], got[eid], w)
 			}
 		}
 	}
 }
 
 func TestShardEngineStats(t *testing.T) {
-	_, _, stats := runShardProg(t, 2, false)
+	_, _, stats := runShardProg(t, 2)
 	if stats.Supersteps != 2 {
 		t.Fatalf("Supersteps = %d, want 2", stats.Supersteps)
 	}
@@ -253,7 +222,8 @@ func TestShardEngineStats(t *testing.T) {
 
 	g := shardTestGraph()
 	p := &shardProg{shardOf: make([]int64, len(g.Edges))}
-	eng := NewEngine[shVD, shED, struct{}, *shCtx](g, p, 2)
+	eng := NewEngine(g, p, 2)
+	defer eng.Close()
 	if err := eng.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -264,37 +234,28 @@ func TestShardEngineStats(t *testing.T) {
 	}
 }
 
-// boundaryProg additionally folds at batch boundaries, which also
-// enables colour-class coalescing on the chromatic engine.
-type boundaryProg struct {
-	shardProg
-	boundaries int
-}
-
-func (p *boundaryProg) MergeBoundary([]*shCtx) { p.boundaries++ }
-
+// Merge runs once after every scatter batch — never per colour class,
+// never a second time at superstep end.
 func TestBoundaryMergeRunsPerBatch(t *testing.T) {
 	g := shardTestGraph()
-	p := &boundaryProg{}
-	p.shardOf = make([]int64, len(g.Edges))
-	eng := NewChromaticEngine[shVD, shED, struct{}, *shCtx](g, p, 2)
+	p := &shardProg{shardOf: make([]int64, len(g.Edges))}
+	eng := NewEngine(g, p, 2)
+	defer eng.Close()
 	if err := eng.Step(); err != nil {
 		t.Fatal(err)
 	}
-	batches := len(eng.Stats().BatchBusy)
-	if batches < 2 {
-		t.Fatalf("want multiple batches, got %d", batches)
+	plan := eng.Plan()
+	if plan.Batches < 2 {
+		t.Fatalf("want multiple batches, got %d", plan.Batches)
 	}
-	if batches > maxScatterBatches+1 {
-		t.Fatalf("coalescing failed: %d batches for maxScatterBatches=%d", batches, maxScatterBatches)
+	if plan.Batches > maxScatterBatches+1 || plan.Batches >= plan.Colors {
+		t.Fatalf("coalescing failed: %d batches from %d colours (maxScatterBatches=%d)", plan.Batches, plan.Colors, maxScatterBatches)
 	}
-	// One boundary fold per batch plus the superstep-end Merge, which
-	// boundaryProg does not delegate — shardProg.Merge counts separately.
-	if p.boundaries != batches {
-		t.Fatalf("MergeBoundary ran %d times for %d batches", p.boundaries, batches)
+	if p.merges != plan.Batches {
+		t.Fatalf("Merge ran %d times for %d batches", p.merges, plan.Batches)
 	}
-	if p.merges != 1 {
-		t.Fatalf("Merge ran %d times, want 1", p.merges)
+	if rows := len(eng.Stats().BatchBusy); rows != plan.Batches {
+		t.Fatalf("%d stats rows for %d batches", rows, plan.Batches)
 	}
 }
 
@@ -302,7 +263,7 @@ func TestBoundaryMergeRunsPerBatch(t *testing.T) {
 // from Step on both the inline and the goroutine path.
 type panicProg struct{ shardProg }
 
-func (p *panicProg) ScatterShard(g *Graph[shVD, shED], shard int, edges []int32, ctx *shCtx, beat *Beat) {
+func (p *panicProg) ScatterShard(g *Graph[shED], shard int, edges []int32, ctx *shCtx, beat *Beat) {
 	if shard == 3 {
 		panic("shard 3 exploded")
 	}
@@ -314,8 +275,9 @@ func TestShardWorkerPanicBecomesError(t *testing.T) {
 		g := shardTestGraph()
 		p := &panicProg{}
 		p.shardOf = make([]int64, len(g.Edges))
-		eng := NewEngine[shVD, shED, struct{}, *shCtx](g, p, workers)
+		eng := NewEngine(g, p, workers)
 		err := eng.Step()
+		eng.Close()
 		if err == nil || !strings.Contains(err.Error(), "shard 3 exploded") {
 			t.Fatalf("workers=%d: want panic error, got %v", workers, err)
 		}
@@ -325,37 +287,27 @@ func TestShardWorkerPanicBecomesError(t *testing.T) {
 // Close must take the pool's goroutines down, stay callable, and turn
 // later Steps into ErrClosed instead of a send on a closed channel.
 func TestEngineCloseStopsPool(t *testing.T) {
-	for _, chromatic := range []bool{false, true} {
-		before := runtime.NumGoroutine()
-		g := shardTestGraph()
-		p := &shardProg{shardOf: make([]int64, len(g.Edges))}
-		var eng interface {
-			Step() error
-			Close()
-		}
-		if chromatic {
-			eng = NewChromaticEngine[shVD, shED, struct{}, *shCtx](g, p, 4)
-		} else {
-			eng = NewEngine[shVD, shED, struct{}, *shCtx](g, p, 4)
-		}
-		if err := eng.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if runtime.NumGoroutine() < before+4 {
-			t.Fatalf("chromatic=%v: no 4-worker pool to close", chromatic)
-		}
-		eng.Close()
-		eng.Close()
-		// Close waited for the workers to return; the runtime may take a
-		// moment longer to stop counting them.
-		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
-		if after := runtime.NumGoroutine(); after > before {
-			t.Fatalf("chromatic=%v: %d goroutines before the engine, %d after Close", chromatic, before, after)
-		}
-		if err := eng.Step(); !errors.Is(err, ErrClosed) {
-			t.Fatalf("chromatic=%v: Step after Close returned %v, want ErrClosed", chromatic, err)
-		}
+	before := runtime.NumGoroutine()
+	g := shardTestGraph()
+	p := &shardProg{shardOf: make([]int64, len(g.Edges))}
+	eng := NewEngine(g, p, 4)
+	if err := eng.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if runtime.NumGoroutine() < before+4 {
+		t.Fatal("no 4-worker pool to close")
+	}
+	eng.Close()
+	eng.Close()
+	// Close waited for the workers to return; the runtime may take a
+	// moment longer to stop counting them.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before the engine, %d after Close", before, after)
+	}
+	if err := eng.Step(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Step after Close returned %v, want ErrClosed", err)
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// ErrStalled reports that a parallel phase was aborted by the stall
+// ErrStalled reports that a scatter batch was aborted by the stall
 // supervisor: a worker went silent past the grace period, or the whole
-// phase overran its deadline. Match with errors.Is. After a stall the
+// batch overran its deadline. Match with errors.Is. After a stall the
 // engine is poisoned — the aborted workers cannot be killed, only asked
 // to stop, so the superstep's partial effects are unrecoverable and
 // every later Step returns the same error. The caller must discard the
@@ -18,12 +18,12 @@ import (
 // known-good snapshot.
 var ErrStalled = errors.New("gas: worker stalled")
 
-// StallPolicy configures per-phase supervision of the worker pool. With
-// a nil policy (the default) the engines run unsupervised and a hung
-// worker hangs Step forever.
+// StallPolicy configures supervision of the worker pool, one scatter
+// batch at a time. With a nil policy (the default) the engine runs
+// unsupervised and a hung worker hangs Step forever.
 type StallPolicy struct {
-	// Deadline bounds one whole parallel phase (gather+apply, or one
-	// scatter pass). 0 disables the phase deadline.
+	// Deadline bounds one scatter batch (a superstep runs a handful; see
+	// maxScatterBatches). 0 disables the batch deadline.
 	Deadline time.Duration
 	// Grace bounds one worker's heartbeat silence: a worker that
 	// processes no item for longer than Grace is declared stalled.
@@ -43,7 +43,7 @@ func (sp *StallPolicy) enabled() bool {
 type Beat struct {
 	n     atomic.Uint64
 	ended atomic.Bool
-	abort *atomic.Bool // shared across the phase's workers
+	abort *atomic.Bool // shared across the batch's workers
 }
 
 // Next records one unit of progress and reports whether the worker
@@ -56,17 +56,18 @@ func (b *Beat) Next() bool {
 	return !b.abort.Load()
 }
 
-// runSupervised is the supervised counterpart of the plain goroutine
-// fan-out in runBlocks: every block runs on its own goroutine with a
-// heartbeat, and a monitor goroutine-free polling loop on the calling
-// goroutine watches for per-worker silence (Grace) and the phase
-// deadline (Deadline). On a stall it flips the shared abort flag so
+// runSupervised is the supervised counterpart of scatterPool.runBatch:
+// [0, n) is split into one contiguous block per worker, every block
+// runs on its own goroutine with a heartbeat, and a polling loop on the
+// calling goroutine watches for per-worker silence (Grace) and the
+// batch deadline (Deadline). On a stall it flips the shared abort flag so
 // healthy workers drain cooperatively, waits briefly, and returns an
 // error wrapping ErrStalled — without joining the stuck worker, whose
 // goroutine is leaked along with the memory it may still write. The
 // caller must therefore never reuse the program state after a stall;
-// the engines enforce this by poisoning themselves.
-func runSupervised(m *Metrics, sp *StallPolicy, phase string, workers, n int, fn func(worker, lo, hi int, beat *Beat)) error {
+// the engine enforces this by poisoning itself. A panic in a block is
+// contained and returned as that worker's error, not a stall.
+func runSupervised(m *Metrics, sp *StallPolicy, workers, n int, fn func(worker, lo, hi int, beat *Beat)) error {
 	abort := &atomic.Bool{}
 	block := (n + workers - 1) / workers
 	if block < 1 {
@@ -142,16 +143,16 @@ func runSupervised(m *Metrics, sp *StallPolicy, phase string, workers, n int, fn
 				m.WorkerStalls.Inc()
 			}
 			// Give healthy workers a moment to drain; the stuck one is
-			// leaked either way, so the phase has already failed.
+			// leaked either way, so the batch has already failed.
 			select {
 			case <-done:
 			case <-time.After(poll * 4):
 			}
 			if stalled >= 0 {
-				return fmt.Errorf("gas: %s phase: worker %d made no progress for %v (grace %v): %w",
-					phase, stalled, now.Sub(changed[stalled]).Round(time.Millisecond), sp.Grace, ErrStalled)
+				return fmt.Errorf("gas: scatter phase: worker %d made no progress for %v (grace %v): %w",
+					stalled, now.Sub(changed[stalled]).Round(time.Millisecond), sp.Grace, ErrStalled)
 			}
-			return fmt.Errorf("gas: %s phase exceeded deadline %v: %w", phase, sp.Deadline, ErrStalled)
+			return fmt.Errorf("gas: scatter phase exceeded deadline %v: %w", sp.Deadline, ErrStalled)
 		}
 	}
 }

@@ -8,35 +8,23 @@ import (
 	"github.com/cold-diffusion/cold/internal/obs"
 )
 
-// hangProgram is a degreeProgram whose Scatter blocks on release when
-// visiting edge hangOn — a deliberately hung worker.
-type hangProgram struct {
-	degreeProgram
-	hangOn  int32
-	release chan struct{}
-}
-
-func (p *hangProgram) Scatter(g *Graph[int, string], eid int32, e *Edge[string], ctx *degCtx) {
-	if eid == p.hangOn {
-		<-p.release
+// hangOn makes the program block on the returned channel when it
+// reaches the given edge — a deliberately hung worker. Closing the
+// channel releases the leaked goroutine.
+func hangOn(p *degreeProgram, edge int32) chan struct{} {
+	release := make(chan struct{})
+	p.onEdge = func(eid int32) {
+		if eid == edge {
+			<-release
+		}
 	}
-	p.degreeProgram.Scatter(g, eid, e, ctx)
+	return release
 }
 
-// A hung scatter worker is detected within the stall policy's bounds:
-// Step returns an error wrapping ErrStalled instead of hanging forever,
-// the stall is counted, and the poisoned engine refuses further
-// supersteps without touching the (possibly still-mutating) state.
-func TestHungWorkerDetectedAndEnginePoisoned(t *testing.T) {
-	g := buildTestGraph()
-	p := &hangProgram{hangOn: 3, release: make(chan struct{})}
-	defer close(p.release) // unblock the leaked goroutine at test exit
-	e := NewEngine[int, string, int, *degCtx](g, p, 2)
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	e.SetMetrics(m)
-	e.SetStallPolicy(&StallPolicy{Grace: 30 * time.Millisecond})
-
+// requireStalled runs one Step and fails unless it returns an error
+// wrapping ErrStalled well before the test would hang.
+func requireStalled(t *testing.T, e *Engine[string, *degCtx]) {
+	t.Helper()
 	done := make(chan error, 1)
 	go func() { done <- e.Step() }()
 	select {
@@ -47,10 +35,30 @@ func TestHungWorkerDetectedAndEnginePoisoned(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Step hung despite the stall policy")
 	}
+}
+
+// A hung scatter worker is detected within the stall policy's bounds:
+// Step returns an error wrapping ErrStalled instead of hanging forever,
+// the stall is counted, and the poisoned engine refuses further
+// supersteps without touching the (possibly still-mutating) state. Edge
+// 3 sits in the second batch, so the batches before it ran and merged.
+func TestHungWorkerDetectedAndEnginePoisoned(t *testing.T) {
+	p := newDegreeProgram()
+	defer close(hangOn(p, 3)) // unblock the leaked goroutine at test exit
+	e := NewEngine(buildTestGraph(), p, 2)
+	defer e.Close()
+	m := NewMetrics(obs.NewRegistry())
+	e.SetMetrics(m)
+	e.SetStallPolicy(&StallPolicy{Grace: 30 * time.Millisecond})
+
+	requireStalled(t, e)
 	if got := m.WorkerStalls.Value(); got != 1 {
 		t.Fatalf("WorkerStalls = %d, want 1", got)
 	}
-	// Poisoned: the next Step must fail instantly, not re-run phases.
+	if p.merges != 1 {
+		t.Fatalf("%d merges before the stalled batch, want 1", p.merges)
+	}
+	// Poisoned: the next Step must fail instantly, not re-run batches.
 	start := time.Now()
 	if err := e.Step(); !errors.Is(err, ErrStalled) {
 		t.Fatalf("poisoned Step returned %v, want ErrStalled", err)
@@ -58,46 +66,35 @@ func TestHungWorkerDetectedAndEnginePoisoned(t *testing.T) {
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("poisoned Step took %v, want immediate return", d)
 	}
+	if p.merges != 1 {
+		t.Fatal("poisoned Step ran a merge")
+	}
 }
 
-// The chromatic engine shares the supervision path and poisoning.
-func TestHungWorkerChromaticEngine(t *testing.T) {
-	g := buildTestGraph()
-	p := &hangProgram{hangOn: 0, release: make(chan struct{})}
-	defer close(p.release)
-	e := NewChromaticEngine[int, string, int, *degCtx](g, p, 2)
+// A hang in the very first batch — a lone shard, so the supervisor has
+// a single heartbeat to watch — is caught the same way.
+func TestHungWorkerInFirstBatch(t *testing.T) {
+	p := newDegreeProgram()
+	defer close(hangOn(p, 0))
+	e := NewEngine(buildTestGraph(), p, 2)
+	defer e.Close()
 	e.SetStallPolicy(&StallPolicy{Grace: 30 * time.Millisecond})
-	done := make(chan error, 1)
-	go func() { done <- e.Step() }()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrStalled) {
-			t.Fatalf("Step returned %v, want ErrStalled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("chromatic Step hung despite the stall policy")
-	}
+	requireStalled(t, e)
 	if err := e.Step(); !errors.Is(err, ErrStalled) {
-		t.Fatalf("poisoned chromatic Step returned %v, want ErrStalled", err)
+		t.Fatalf("poisoned Step returned %v, want ErrStalled", err)
+	}
+	if p.merges != 0 {
+		t.Fatalf("%d merges ran past a stalled first batch", p.merges)
 	}
 }
 
-// slowProgram makes steady but slow progress, tripping the phase
-// deadline without any single worker ever going silent past the grace.
-type slowProgram struct {
-	degreeProgram
-	perEdge time.Duration
-}
-
-func (p *slowProgram) Scatter(g *Graph[int, string], eid int32, e *Edge[string], ctx *degCtx) {
-	time.Sleep(p.perEdge)
-	p.degreeProgram.Scatter(g, eid, e, ctx)
-}
-
+// Steady but slow progress trips the batch deadline without any single
+// worker ever going silent past the grace.
 func TestPhaseDeadlineOverrun(t *testing.T) {
-	g := buildTestGraph()
-	p := &slowProgram{perEdge: 30 * time.Millisecond}
-	e := NewEngine[int, string, int, *degCtx](g, p, 1)
+	p := newDegreeProgram()
+	p.onEdge = func(int32) { time.Sleep(30 * time.Millisecond) }
+	e := NewEngine(buildTestGraph(), p, 1)
+	defer e.Close()
 	e.SetStallPolicy(&StallPolicy{Deadline: 25 * time.Millisecond})
 	if err := e.Step(); !errors.Is(err, ErrStalled) {
 		t.Fatalf("Step returned %v, want ErrStalled on deadline overrun", err)
@@ -109,10 +106,9 @@ func TestPhaseDeadlineOverrun(t *testing.T) {
 func TestSupervisedHealthyRunUnaffected(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		g := buildTestGraph()
-		p := &degreeProgram{}
-		e := NewEngine[int, string, int, *degCtx](g, p, workers)
-		reg := obs.NewRegistry()
-		m := NewMetrics(reg)
+		p := newDegreeProgram()
+		e := NewEngine(g, p, workers)
+		m := NewMetrics(obs.NewRegistry())
 		e.SetMetrics(m)
 		e.SetStallPolicy(&StallPolicy{Deadline: 10 * time.Second, Grace: 10 * time.Second})
 		for step := 0; step < 3; step++ {
@@ -120,27 +116,24 @@ func TestSupervisedHealthyRunUnaffected(t *testing.T) {
 				t.Fatalf("workers=%d step %d: %v", workers, step, err)
 			}
 		}
-		wantDeg := []int{3, 2, 2, 1, 0}
-		for v, want := range wantDeg {
-			if g.Vertices[v] != want {
-				t.Fatalf("workers=%d: degree[%d] = %d, want %d", workers, v, g.Vertices[v], want)
-			}
-		}
+		requireDegrees(t, p, 3)
 		if p.scatterTotal != 3*len(g.Edges) {
 			t.Fatalf("workers=%d: scatter visited %d, want %d", workers, p.scatterTotal, 3*len(g.Edges))
 		}
 		if m.WorkerStalls.Value() != 0 {
 			t.Fatalf("workers=%d: healthy run counted %d stalls", workers, m.WorkerStalls.Value())
 		}
+		e.Close()
 	}
 }
 
 // A panic inside a supervised block still surfaces as a contained
 // error (not a stall, not a crash), and does not poison the engine.
 func TestSupervisedPanicStillContained(t *testing.T) {
-	g := buildTestGraph()
-	p := &panicProgram{panicIn: "scatter"}
-	e := NewEngine[int, string, int, *degCtx](g, p, 2)
+	p := newDegreeProgram()
+	panicIn(p, "scatter")
+	e := NewEngine(buildTestGraph(), p, 2)
+	defer e.Close()
 	e.SetStallPolicy(&StallPolicy{Grace: time.Second})
 	err := e.Step()
 	if err == nil {
@@ -149,8 +142,9 @@ func TestSupervisedPanicStillContained(t *testing.T) {
 	if errors.Is(err, ErrStalled) {
 		t.Fatalf("panic misreported as stall: %v", err)
 	}
-	p.panicIn = ""
+	p.onEdge = nil
 	if err := e.Step(); err != nil {
 		t.Fatalf("engine unusable after contained panic: %v", err)
 	}
+	requireDegrees(t, p, 1)
 }

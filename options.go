@@ -28,8 +28,7 @@ type TrainObserver = core.TrainObserver
 func NewTrainObserver(reg *Registry) *TrainObserver { return core.NewTrainObserver(reg) }
 
 // TrainOption customises a Train run. The zero set of options trains in
-// the foreground with no checkpoints, no metrics and no logging —
-// identical to the original positional Train.
+// the foreground with no checkpoints, no metrics and no logging.
 type TrainOption func(*trainSettings)
 
 type trainSettings struct {

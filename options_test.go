@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,16 +54,16 @@ func TestTrainOptions(t *testing.T) {
 		t.Error("structured log missing per-sweep records")
 	}
 
-	// The identical run through the deprecated positional wrapper agrees
-	// sweep for sweep (the wrappers are thin shims, not a fork).
-	//lint:ignore SA1019 comparing the wrapper against the options API
-	_, st2, err := cold.TrainWithStats(data, cfg)
-	if err != nil {
+	// The options only observe: the identical run with none of them
+	// attached but WithStats agrees sweep for sweep, likelihood for
+	// likelihood.
+	var st2 cold.TrainStats
+	if _, err := cold.Train(context.Background(), data, cfg, cold.WithStats(&st2)); err != nil {
 		t.Fatal(err)
 	}
-	if st2.Sweeps != st.Sweeps || len(st2.Likelihood) != len(st.Likelihood) {
-		t.Fatalf("wrapper diverged: %d/%d sweeps, %d/%d trace points",
-			st2.Sweeps, st.Sweeps, len(st2.Likelihood), len(st.Likelihood))
+	if st2.Sweeps != st.Sweeps || !slices.Equal(st2.Likelihood, st.Likelihood) {
+		t.Fatalf("bare run diverged: %d/%d sweeps, traces %v vs %v",
+			st2.Sweeps, st.Sweeps, st2.Likelihood, st.Likelihood)
 	}
 }
 
